@@ -71,14 +71,15 @@ func (q *prioQueue) pop() *mission {
 
 // takeCompatible removes and returns up to max missions whose batch key
 // matches key, in (priority, seq) order. Canceled entries are skipped
-// (and left for the dispatcher to reap via pop).
+// (and left for the dispatcher to reap via pop), and so are exclusive
+// ones: they fly single-tenant sorties when they reach the head.
 func (q *prioQueue) takeCompatible(key string, max int) []*mission {
 	if max <= 0 {
 		return nil
 	}
 	var cand []*mission
 	for _, m := range q.items {
-		if !m.canceled && m.req.batchKey() == key {
+		if !m.canceled && !m.req.exclusive() && m.req.batchKey() == key {
 			cand = append(cand, m)
 		}
 	}

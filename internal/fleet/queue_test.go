@@ -83,6 +83,31 @@ func TestTakeCompatible(t *testing.T) {
 	}
 }
 
+// TestTakeCompatibleSkipsExclusive: an exclusive or resuming request that
+// shares the head's region and channel plan must not ride its batch; it
+// stays queued for a single-tenant sortie of its own.
+func TestTakeCompatibleSkipsExclusive(t *testing.T) {
+	var q prioQueue
+	head := qm(1, 0, "dock")
+	excl := qm(2, 0, "dock")
+	excl.req.Exclusive = true
+	resume := qm(3, 0, "dock")
+	resume.req.Resume = []byte{1}
+	for _, m := range []*mission{head, excl, resume} {
+		q.push(m)
+	}
+	if got := q.pop(); got != head {
+		t.Fatalf("popped seq %d, want the inventory head", got.seq)
+	}
+	batch := append([]*mission{head}, q.takeCompatible(head.req.batchKey(), 4)...)
+	if len(batch) != 1 {
+		t.Fatalf("batch of %d, want 1: exclusive requests were coalesced", len(batch))
+	}
+	if q.Len() != 2 {
+		t.Fatalf("queue has %d left, want the 2 exclusive requests", q.Len())
+	}
+}
+
 func TestBatchKeySeparatesChannels(t *testing.T) {
 	a := Request{Region: "corridor-east"}
 	b := Request{Region: "corridor-east", ChannelHz: DefaultChannelHz}

@@ -101,17 +101,23 @@ func NewVGA(minDB, maxDB, nfDB float64) *VGA {
 	return &VGA{MinDB: minDB, MaxDB: maxDB, NFdB: nfDB, gainDB: minDB}
 }
 
+// Clamp returns the gain the VGA would apply for a db request: db limited
+// to the hardware range. It does not program anything.
+func (v *VGA) Clamp(db float64) float64 {
+	if db < v.MinDB {
+		return v.MinDB
+	}
+	if db > v.MaxDB {
+		return v.MaxDB
+	}
+	return db
+}
+
 // SetGainDB programs the gain, clamping to the hardware range, and returns
 // the gain actually applied.
 func (v *VGA) SetGainDB(db float64) float64 {
-	if db < v.MinDB {
-		db = v.MinDB
-	}
-	if db > v.MaxDB {
-		db = v.MaxDB
-	}
-	v.gainDB = db
-	return db
+	v.gainDB = v.Clamp(db)
+	return v.gainDB
 }
 
 // GainDB returns the programmed gain.

@@ -219,13 +219,13 @@ func (r *Relay) ProgramGains(iso IsolationReport) GainPlan {
 	fixedDown := r.Cfg.DriveGainDB + r.Cfg.PAGainDB
 
 	downMax := math.Min(iso.IntraDownlinkDB-m-fixedDown, r.Cfg.DownVGAMaxDB)
-	downVGA := r.DownVGA.SetGainDB(downMax)
+	downVGA := r.DownVGA.Clamp(downMax)
 	downTotal := downVGA + fixedDown
 
 	loopBudget := iso.InterDownlinkDB + iso.InterUplinkDB - m
 	upMax := math.Min(iso.IntraUplinkDB-m, loopBudget-downTotal)
 	upMax = math.Min(upMax, r.Cfg.UpVGAMaxDB)
-	upVGA := r.UpVGA.SetGainDB(upMax)
+	upVGA := r.UpVGA.Clamp(upMax)
 
 	plan := GainPlan{
 		DownVGADB:      downVGA,
@@ -236,7 +236,26 @@ func (r *Relay) ProgramGains(iso IsolationReport) GainPlan {
 	plan.Stable = downTotal <= iso.IntraDownlinkDB-m+1e-9 &&
 		upVGA <= iso.IntraUplinkDB-m+1e-9 &&
 		downTotal+upVGA <= loopBudget+1e-9
+	r.SetPlan(plan)
 	return plan
+}
+
+// SetPlan programs both VGAs to a plan's settings. ProgramGains ends here,
+// and a relay handed an earlier calibration (see Calibration) takes its
+// plan here without re-running the tone-injection measurement.
+func (r *Relay) SetPlan(p GainPlan) {
+	r.DownVGA.SetGainDB(p.DownVGADB)
+	r.UpVGA.SetGainDB(p.UpVGADB)
+}
+
+// Calibration is a relay's measured isolation and the gain plan programmed
+// against it. The paper treats isolation as a property of the board
+// (§6.1, §7.1): measured once by tone injection, then carried, so a
+// rebuilt deployment of the same relay can be given its calibration
+// instead of measuring it again.
+type Calibration struct {
+	Iso   IsolationReport
+	Gains GainPlan
 }
 
 // AutoGain retunes the downlink VGA for the measured input power so the

@@ -491,32 +491,43 @@ func (e *Engine) SortiesDone() int { return e.cur }
 func (e *Engine) Clock() int64 { return int64(e.cur) * int64(e.cfg.TicksPerSortie) }
 
 // buildDeployment rebuilds sortie state from the config and a sortie
-// seed, then applies the carryover.
-func (e *Engine) buildDeployment(seed uint64) (*sim.Deployment, []*tag.Tag) {
+// seed, then applies the carryover. Relay isolation is measured only at
+// the mission's first build; later builds are given the carried
+// calibration, which sim.New records and programs into the VGAs. The
+// build runs under a "runtime.build" span whose "measured" attribute
+// says which of the two happened.
+func (e *Engine) buildDeployment(ctx context.Context, seed uint64) (*sim.Deployment, []*tag.Tag) {
+	_, span := obs.StartSpan(ctx, "runtime.build")
+	var cal *relay.Calibration
+	if e.carry.HasIso {
+		cal = &relay.Calibration{Iso: e.carry.Iso, Gains: e.carry.Gains}
+	}
 	d := sim.New(sim.Config{
 		Scene:         world.Corridor(e.cfg.CorridorLengthM, e.cfg.CorridorWidthM),
 		ReaderPos:     e.cfg.ReaderPos,
 		UseRelay:      true,
 		RelayPos:      e.cfg.station(e.cur),
 		ShadowSigmaDB: e.cfg.ShadowSigmaDB,
+		Calibration:   cal,
 	}, seed)
 	tags := make([]*tag.Tag, len(e.cfg.Tags))
 	for i, ts := range e.cfg.Tags {
 		tags[i] = d.AddTag(epc.NewEPC96(ts.ID, 0xD0, 0, 0, 0, 0), geom.P(ts.X, ts.Y, ts.Z))
 	}
 	e.applyCarryover(d)
+	span.Bool("measured", cal == nil)
+	span.End()
 	return d, tags
 }
 
 // applyCarryover restores persistent damage and pose onto a freshly
-// built deployment.
+// built deployment. The carried isolation and gain plan are not applied
+// here: buildDeployment hands them to sim.New as the relay's calibration.
 func (e *Engine) applyCarryover(d *sim.Deployment) {
 	c := e.carry
 	d.SetReaderCarrierHz(c.ReaderHopHz)
 	if c.HasIso {
 		d.Relay.SetAntennaIsolationDB(c.AntennaIsoDB)
-		d.Iso = c.Iso
-		d.Gains = c.Gains
 	}
 	if c.RelayLocked {
 		d.Relay.Lock(c.RelayReaderFreq)
@@ -662,7 +673,7 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 		}
 	}
 
-	d, tags := e.buildDeployment(sortieSeed)
+	d, tags := e.buildDeployment(ctx, sortieSeed)
 	var coord *swarm.Coordinator
 	var wd *relay.Watchdog
 	var err error

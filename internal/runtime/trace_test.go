@@ -64,6 +64,18 @@ func assertTraceInvariants(t *testing.T, tree *obs.Tree) {
 		t.Fatal("trace has no runtime.sortie spans")
 	}
 
+	// Each sortie opens with exactly one deployment build, a direct child
+	// of its sortie span.
+	builds := tree.Find("runtime.build")
+	if len(builds) != len(sorties) {
+		t.Errorf("trace has %d runtime.build spans for %d sorties", len(builds), len(sorties))
+	}
+	for _, n := range builds {
+		if p := tree.Nodes[n.Parent]; p == nil || p.Name != "runtime.sortie" {
+			t.Errorf("runtime.build span %d is not a direct child of a runtime.sortie span", n.ID)
+		}
+	}
+
 	// Every relay re-lock happened inside some sortie: either during the
 	// launch checklist or under an escalation tick.
 	relocks := tree.Find("relay.relock")

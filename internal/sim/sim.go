@@ -49,7 +49,8 @@ type Deployment struct {
 	// it; StationKeep steers back.
 	RelayPlanPos geom.Point
 	// Iso and Gains are the relay's measured isolations and programmed
-	// gain plan for this deployment (drawn once per relay build).
+	// gain plan for this deployment: measured at build unless
+	// Config.Calibration carried them in.
 	Iso   relay.IsolationReport
 	Gains relay.GainPlan
 
@@ -102,6 +103,10 @@ type Config struct {
 	ExtraPathLossExp float64
 	// GroundReflectivity enables the floor-bounce multipath path.
 	GroundReflectivity float64
+	// Calibration, when set, is the relay's earlier isolation measurement
+	// and gain plan: New records it and programs the plan into the VGAs
+	// instead of measuring isolation again. Nil measures afresh.
+	Calibration *relay.Calibration
 }
 
 // New builds a deployment from cfg, drawing all randomness from seed.
@@ -132,8 +137,14 @@ func New(cfg Config, seed uint64) *Deployment {
 		d.RelayPlanPos = cfg.RelayPos
 		// MeasureAll cannot fail here (the relay was locked one line up);
 		// if it somehow does, the relay is left with a dead (unstable)
-		// gain plan rather than crashing the deployment build.
-		if iso, err := rl.MeasureAll(src.Split("iso-trial")); err == nil {
+		// gain plan rather than crashing the deployment build. It draws
+		// only from a split, so skipping it for a given calibration
+		// leaves every other draw of the deployment unchanged.
+		if cal := cfg.Calibration; cal != nil {
+			d.Iso = cal.Iso
+			d.Gains = cal.Gains
+			rl.SetPlan(cal.Gains)
+		} else if iso, err := rl.MeasureAll(src.Split("iso-trial")); err == nil {
 			d.Iso = iso
 			d.Gains = rl.ProgramGains(d.Iso)
 		}

@@ -163,9 +163,13 @@ func (c *Coordinator) cellStation(cell int) geom.Point {
 	return geom.P(p.X-float64(cell)*c.cfg.CellSpacingM, p.Y, p.Z)
 }
 
-// install points the deployment at the current primary's hardware.
+// install points the deployment at the current primary's hardware and
+// programs the deployment's gain plan into its VGAs, so the record and
+// the installed relay agree across every promotion (including one after
+// a mid-sortie ReprogramGains on the old primary).
 func (c *Coordinator) install() {
 	m := c.members[c.primary]
+	m.rel.SetPlan(c.d.Gains)
 	c.d.Relay = m.rel
 	c.d.RelayPos = m.Pos
 	if c.d.EmbeddedTag != nil {
