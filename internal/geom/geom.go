@@ -33,6 +33,19 @@ func (p Point) Sub(q Point) Vec { return Vec{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
 // Dist returns the Euclidean distance between p and q.
 func (p Point) Dist(q Point) float64 { return p.Sub(q).Norm() }
 
+// Canonical orders a link's endpoints deterministically: b comes first
+// when it sorts before a in plan view (by X, then Y); otherwise the order
+// is kept. Computing a link's quantities from the canonical pair makes
+// them exactly reciprocal — floating-point orientation tests on
+// knife-edge geometry cannot flip with argument order. Endpoints that
+// share X and Y (a vertical link) keep their order.
+func Canonical(a, b Point) (Point, Point) {
+	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
+		return b, a
+	}
+	return a, b
+}
+
 // Dist2D returns the distance between p and q projected onto the XY plane.
 func (p Point) Dist2D(q Point) float64 {
 	dx, dy := p.X-q.X, p.Y-q.Y

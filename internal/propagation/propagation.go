@@ -80,36 +80,49 @@ func NewModel(s *world.Scene, f float64) *Model {
 // bounce legs also accumulate through-wall losses, so a reflector behind
 // an obstacle contributes only weakly.
 func (m *Model) Paths(a, b geom.Point) []Path {
-	d := a.Dist(b)
-	direct := Path{
-		Dist:   d,
-		LossDB: FSPLdB(d, m.Freq) + m.extraLoss(d) + m.Scene.TransmissionLossDB(a, b),
-		Direct: true,
+	var paths []Path
+	m.eachPath(a, b, func(p Path) { paths = append(paths, p) })
+	return paths
+}
+
+// Channel returns the coherent sum of every path's complex gain from a to
+// b at carrier f (the model's Freq when f == 0), with unit antenna gains.
+// It visits the paths in Paths' order (direct, ground, reflectors in wall
+// order, then second order) without building the slice, so it allocates
+// nothing.
+func (m *Model) Channel(a, b geom.Point, f float64) complex128 {
+	if f == 0 {
+		f = m.Freq
 	}
-	paths := []Path{direct}
+	var h complex128
+	m.eachPath(a, b, func(p Path) { h += p.Gain(f) })
+	return h
+}
+
+// eachPath calls fn for every propagation path from a to b, direct path
+// first. Every quantity past the direct path is computed from the
+// canonical endpoint pair (geom.Canonical), making the multipath sum
+// exactly reciprocal: image-method geometry is symmetric on paper, but
+// knife-edge cases would otherwise flip with argument order.
+func (m *Model) eachPath(a, b geom.Point, fn func(Path)) {
+	d := a.Dist(b)
+	directLossDB := FSPLdB(d, m.Freq) + m.extraLoss(d) + m.Scene.TransmissionLossDB(a, b)
+	fn(Path{Dist: d, LossDB: directLossDB, Direct: true})
+	ca, cb := geom.Canonical(a, b)
 	if m.GroundReflectivity > 0 && a.Z > 0 && b.Z > 0 {
-		ga, gb := a, b
-		if gb.X < ga.X || (gb.X == ga.X && gb.Y < ga.Y) {
-			ga, gb = gb, ga
-		}
-		img := geom.Point{X: ga.X, Y: ga.Y, Z: -ga.Z}
-		dist := img.Dist(gb)
+		img := geom.Point{X: ca.X, Y: ca.Y, Z: -ca.Z}
+		dist := img.Dist(cb)
 		if dist > d {
 			loss := FSPLdB(dist, m.Freq) + m.extraLoss(dist) -
 				20*math.Log10(m.GroundReflectivity) +
 				m.Scene.TransmissionLossDB(a, b) // same plan-view crossings
-			paths = append(paths, Path{Dist: dist, LossDB: loss})
+			fn(Path{Dist: dist, LossDB: loss})
 		}
 	}
-	// Canonical endpoint order: every quantity below is computed from the
-	// same operands regardless of link direction, making the multipath sum
-	// exactly reciprocal (image-method geometry is symmetric on paper, but
-	// knife-edge cases would otherwise flip with argument order).
-	ca, cb := a, b
-	if cb.X < ca.X || (cb.X == ca.X && cb.Y < ca.Y) {
-		ca, cb = cb, ca
-	}
-	for _, w := range m.Scene.Reflectors(m.MinReflectivity) {
+	for _, w := range m.Scene.Walls {
+		if !m.reflects(w) {
+			continue
+		}
 		rp, ok := w.Seg.ReflectionPoint(ca, cb)
 		if !ok {
 			continue
@@ -124,30 +137,36 @@ func (m *Model) Paths(a, b geom.Point) []Path {
 		loss := FSPLdB(dist, m.Freq) + m.extraLoss(dist) +
 			-20*math.Log10(w.Mat.Reflectivity) // reflection loss
 		// Wall crossings on each leg, excluding the bouncing wall itself.
-		loss += m.crossingLossExcept(ca, rp, w) + m.crossingLossExcept(rp, cb, w)
-		paths = append(paths, Path{Dist: dist, LossDB: loss})
+		loss += m.crossingLossExcept(ca, rp, w, w) + m.crossingLossExcept(rp, cb, w, w)
+		fn(Path{Dist: dist, LossDB: loss})
 	}
 	if m.SecondOrder {
-		paths = append(paths, m.secondOrderPaths(ca, cb, direct.LossDB)...)
+		m.secondOrderPaths(ca, cb, directLossDB, fn)
 	}
-	return paths
+}
+
+// reflects reports whether w is reflective enough to spawn bounces.
+func (m *Model) reflects(w world.Wall) bool {
+	return w.Mat.Reflectivity >= m.MinReflectivity
 }
 
 // secondOrderPaths enumerates wall-pair double bounces via the
 // image-of-image method: mirror a across wall i, mirror that image
 // across wall j, and require both reflection points to be geometrically
 // valid. Legs' wall crossings are charged except at the bouncing walls.
-func (m *Model) secondOrderPaths(a, b geom.Point, directLossDB float64) []Path {
-	refl := m.Scene.Reflectors(m.MinReflectivity)
+func (m *Model) secondOrderPaths(a, b geom.Point, directLossDB float64, fn func(Path)) {
 	floor := directLossDB - m.MinSecondOrderGainDB
 	if m.MinSecondOrderGainDB == 0 {
 		floor = directLossDB + 40 // default prune: ≥40 dB under direct
 	}
-	var out []Path
-	for i, wi := range refl {
+	walls := m.Scene.Walls
+	for i, wi := range walls {
+		if !m.reflects(wi) {
+			continue
+		}
 		imgA := wi.Seg.Mirror(a)
-		for j, wj := range refl {
-			if i == j {
+		for j, wj := range walls {
+			if i == j || !m.reflects(wj) {
 				continue
 			}
 			imgAB := wj.Seg.Mirror(imgA)
@@ -165,23 +184,23 @@ func (m *Model) secondOrderPaths(a, b geom.Point, directLossDB float64) []Path {
 			loss := FSPLdB(dist, m.Freq) + m.extraLoss(dist) -
 				20*math.Log10(wi.Mat.Reflectivity) -
 				20*math.Log10(wj.Mat.Reflectivity)
-			loss += m.crossingLossExcept2(a, rp1, wi, wj) +
-				m.crossingLossExcept2(rp1, rp2, wi, wj) +
-				m.crossingLossExcept2(rp2, b, wi, wj)
+			loss += m.crossingLossExcept(a, rp1, wi, wj) +
+				m.crossingLossExcept(rp1, rp2, wi, wj) +
+				m.crossingLossExcept(rp2, b, wi, wj)
 			if loss > floor {
 				continue
 			}
-			out = append(out, Path{Dist: dist, LossDB: loss})
+			fn(Path{Dist: dist, LossDB: loss})
 		}
 	}
-	return out
 }
 
-// crossingLossExcept2 is crossingLossExcept with two exempt walls.
-func (m *Model) crossingLossExcept2(a, b geom.Point, e1, e2 world.Wall) float64 {
-	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
-		a, b = b, a
-	}
+// crossingLossExcept sums the through-wall loss of the segment a–b over
+// every wall except the bouncing walls e1 and e2 (pass the same wall
+// twice for a single bounce). The endpoints are canonicalised so the
+// test is symmetric (see world.TransmissionLossDB).
+func (m *Model) crossingLossExcept(a, b geom.Point, e1, e2 world.Wall) float64 {
+	a, b = geom.Canonical(a, b)
 	link := geom.Segment{A: a, B: b}
 	var loss float64
 	for _, w := range m.Scene.Walls {
@@ -202,37 +221,11 @@ func (m *Model) extraLoss(d float64) float64 {
 	return 10 * m.PathLossExponentExtra * math.Log10(d)
 }
 
-func (m *Model) crossingLossExcept(a, b geom.Point, except world.Wall) float64 {
-	// Canonical endpoint order keeps the test symmetric (see
-	// world.TransmissionLossDB).
-	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
-		a, b = b, a
-	}
-	link := geom.Segment{A: a, B: b}
-	var loss float64
-	for _, w := range m.Scene.Walls {
-		if w == except {
-			continue
-		}
-		if link.Intersects(w.Seg) {
-			loss += w.Mat.TransmissionLossDB
-		}
-	}
-	return loss
-}
-
 // OneWay returns the composite complex channel from a to b at carrier f
-// (defaulting to the model's Freq when f == 0): the coherent sum of all
-// path gains plus the antenna gains at both ends.
+// (defaulting to the model's Freq when f == 0): the path sum Channel
+// times the antenna gains at both ends.
 func (m *Model) OneWay(a, b geom.Point, f, txGainDBi, rxGainDBi float64) complex128 {
-	if f == 0 {
-		f = m.Freq
-	}
-	var h complex128
-	for _, p := range m.Paths(a, b) {
-		h += p.Gain(f)
-	}
-	return h * complex(signal.AmpFromDB(txGainDBi+rxGainDBi), 0)
+	return m.Channel(a, b, f) * complex(signal.AmpFromDB(txGainDBi+rxGainDBi), 0)
 }
 
 // DirectOnly returns just the direct path's complex gain — useful for

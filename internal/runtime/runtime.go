@@ -605,7 +605,7 @@ func (e *Engine) RunSortie(ctx context.Context) (SortieResult, error) {
 	var res SortieResult
 	var err error
 	obs.Labeled(sctx, func(sctx context.Context) {
-		res, err = e.runSortie(sctx)
+		res, err = e.runSortie(sctx, span)
 	}, "rfly_stage", "sortie")
 	span.Bool("aborted", res.Aborted).
 		Int("reads", int64(res.Reads)).
@@ -661,7 +661,7 @@ func (e *Engine) LiveEstimateCtx(ctx context.Context) (LiveEstimate, bool) {
 	}, true
 }
 
-func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
+func (e *Engine) runSortie(ctx context.Context, span *obs.Span) (SortieResult, error) {
 	if e.cur >= e.cfg.Sorties {
 		return SortieResult{}, fmt.Errorf("runtime: mission already complete (%d sorties)", e.cur)
 	}
@@ -674,6 +674,11 @@ func (e *Engine) runSortie(ctx context.Context) (SortieResult, error) {
 	}
 
 	d, tags := e.buildDeployment(ctx, sortieSeed)
+	// The link memo's counters land on the sortie span however it ends.
+	defer func() {
+		hits, misses := d.LinkStats()
+		span.Int("link_hits", hits).Int("link_misses", misses)
+	}()
 	var coord *swarm.Coordinator
 	var wd *relay.Watchdog
 	var err error

@@ -64,6 +64,22 @@ func assertTraceInvariants(t *testing.T, tree *obs.Tree) {
 		t.Fatal("trace has no runtime.sortie spans")
 	}
 
+	// Every sortie carries its link memo counters, and over the mission
+	// the memo serves more channel reads than it computes.
+	var hits, misses float64
+	for _, n := range sorties {
+		h, okH := n.Attr("link_hits")
+		m, okM := n.Attr("link_misses")
+		if !okH || !okM {
+			t.Fatalf("runtime.sortie span %d lacks link_hits/link_misses", n.ID)
+		}
+		hits += h.Num
+		misses += m.Num
+	}
+	if hits <= misses {
+		t.Errorf("link memo: %v hits vs %v misses; the memo is not reusing links", hits, misses)
+	}
+
 	// Each sortie opens with exactly one deployment build, a direct child
 	// of its sortie span.
 	builds := tree.Find("runtime.build")

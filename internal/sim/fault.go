@@ -367,11 +367,11 @@ func (d *Deployment) Sense() (float64, float64, bool) {
 // state (each airframe has its own supply); callers gate on their own.
 func (d *Deployment) SenseAt(pos geom.Point) (float64, float64, bool) {
 	rcfg := d.Reader.Cfg
-	pow := d.Model.ReceivedPowerDBm(d.ReaderPos, pos, rcfg.TxPowerDBm,
+	pow := d.powerDBm(d.ReaderPos, pos, rcfg.TxPowerDBm,
 		rcfg.AntennaGainDB, 2)
 	best := d.readerHopHz
 	for _, i := range d.Interferers {
-		theirs := d.Model.ReceivedPowerDBm(i.Pos, pos, i.TxPowerDBm,
+		theirs := d.powerDBm(i.Pos, pos, i.TxPowerDBm,
 			i.AntennaGainDB, 2)
 		if theirs > pow {
 			pow, best = theirs, i.FreqOffset

@@ -37,10 +37,10 @@ func (d *Deployment) RelayLockOK() bool {
 		return true
 	}
 	rcfg := d.Reader.Cfg
-	ours := d.Model.ReceivedPowerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
+	ours := d.powerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
 		rcfg.AntennaGainDB, 2)
 	for _, i := range d.Interferers {
-		theirs := d.Model.ReceivedPowerDBm(i.Pos, d.RelayPos, i.TxPowerDBm, i.AntennaGainDB, 2)
+		theirs := d.powerDBm(i.Pos, d.RelayPos, i.TxPowerDBm, i.AntennaGainDB, 2)
 		if theirs > ours {
 			return false
 		}
@@ -49,7 +49,7 @@ func (d *Deployment) RelayLockOK() bool {
 		if !j.ActiveAt(d.jamTick) {
 			continue
 		}
-		theirs := d.Model.ReceivedPowerDBm(j.Pos, d.RelayPos, j.TxPowerDBm, j.AntennaGainDB, 2)
+		theirs := d.powerDBm(j.Pos, d.RelayPos, j.TxPowerDBm, j.AntennaGainDB, 2)
 		if theirs > ours {
 			return false
 		}
@@ -92,7 +92,7 @@ func (d *Deployment) interferenceAtReaderW() float64 {
 	var total float64
 	for _, i := range d.Interferers {
 		// Direct path.
-		direct := d.Model.ReceivedPowerDBm(i.Pos, d.ReaderPos, i.TxPowerDBm,
+		direct := d.powerDBm(i.Pos, d.ReaderPos, i.TxPowerDBm,
 			i.AntennaGainDB, rcfg.AntennaGainDB)
 		if i.FreqOffset != 0 {
 			direct -= readerRxRejectionDB
@@ -100,10 +100,10 @@ func (d *Deployment) interferenceAtReaderW() float64 {
 		total += signal.WattsFromDBm(direct)
 		// Through-relay path (only when a relay is forwarding).
 		if d.Relay != nil && d.Gains.Stable {
-			atRelay := d.Model.ReceivedPowerDBm(i.Pos, d.RelayPos, i.TxPowerDBm,
+			atRelay := d.powerDBm(i.Pos, d.RelayPos, i.TxPowerDBm,
 				i.AntennaGainDB, 2)
 			fwd := atRelay - d.filterRejectionDB(i.FreqOffset) + d.Gains.UplinkGainDB +
-				chanGainDB(d.Model, d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB)
+				d.gainDB(d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB)
 			if i.FreqOffset != 0 {
 				fwd -= readerRxRejectionDB
 			}

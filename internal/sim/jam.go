@@ -81,18 +81,18 @@ func (d *Deployment) jammerAtReaderW() float64 {
 		if !j.ActiveAt(d.jamTick) {
 			continue
 		}
-		direct := d.Model.ReceivedPowerDBm(j.Pos, d.ReaderPos, j.TxPowerDBm,
+		direct := d.powerDBm(j.Pos, d.ReaderPos, j.TxPowerDBm,
 			j.AntennaGainDB, rcfg.AntennaGainDB)
 		if off := j.OffsetFromHz(carrier); off != 0 {
 			direct -= readerRxRejectionDB
 		}
 		total += signal.WattsFromDBm(direct)
 		if d.Relay != nil && d.Gains.Stable {
-			atRelay := d.Model.ReceivedPowerDBm(j.Pos, d.RelayPos, j.TxPowerDBm,
+			atRelay := d.powerDBm(j.Pos, d.RelayPos, j.TxPowerDBm,
 				j.AntennaGainDB, 2)
 			off := j.OffsetFromHz(carrier)
 			fwd := atRelay - d.filterRejectionDB(off) + d.Gains.UplinkGainDB +
-				chanGainDB(d.Model, d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB)
+				d.gainDB(d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB)
 			if off != 0 {
 				fwd -= readerRxRejectionDB
 			}

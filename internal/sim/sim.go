@@ -36,7 +36,11 @@ import (
 // Deployment is one experimental setup.
 type Deployment struct {
 	Scene *world.Scene
+	// Model is the propagation model over Scene. Neither is mutated after
+	// New: the link memo (links) serves stored channels for as long as
+	// the deployment lives.
 	Model *propagation.Model
+	links linkMemo
 
 	Reader    *reader.Reader
 	ReaderPos geom.Point
@@ -239,7 +243,7 @@ func (d *Deployment) directBudget(t *tag.Tag) Budget {
 	var b Budget
 	b.RelayStable = true
 	rcfg := d.Reader.Cfg
-	down := d.Model.ReceivedPowerDBm(d.ReaderPos, t.Pos, rcfg.TxPowerDBm,
+	down := d.powerDBm(d.ReaderPos, t.Pos, rcfg.TxPowerDBm,
 		rcfg.AntennaGainDB, 0) + d.shadowDB() - t.OrientationLossDB(d.ReaderPos)
 	b.TagRxDBm = down
 	b.Powered = t.PoweredBy(down, rcfg.PIE.Depth)
@@ -249,7 +253,7 @@ func (d *Deployment) directBudget(t *tag.Tag) Budget {
 		return b
 	}
 	up := down - backscatterLossDB(t.Cfg.BackscatterCoeff) - t.OrientationLossDB(d.ReaderPos)
-	b.ReaderRxDBm = up + d.Model.ReceivedPowerDBm(t.Pos, d.ReaderPos, 0, 0, rcfg.AntennaGainDB) +
+	b.ReaderRxDBm = up + d.powerDBm(t.Pos, d.ReaderPos, 0, 0, rcfg.AntennaGainDB) +
 		d.shadowDB()
 	b.SNRdB = reader.LinkSNRdB(b.ReaderRxDBm, rcfg.NoiseFigureDB, rcfg.PIE.BLF())
 	return b
@@ -261,7 +265,7 @@ func (d *Deployment) relayBudget(t *tag.Tag) Budget {
 	rcfg := d.Reader.Cfg
 
 	// Reader → relay (carrier f).
-	toRelayDBm := d.Model.ReceivedPowerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
+	toRelayDBm := d.powerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
 		rcfg.AntennaGainDB, 2) + d.shadowDB()
 
 	// Stability: Eq. 3 — the loop cannot regenerate. The downlink loop is
@@ -282,7 +286,7 @@ func (d *Deployment) relayBudget(t *tag.Tag) Budget {
 	relayInW := signal.WattsFromDBm(toRelayDBm)
 	relayOutDBm := signal.DBm(compressedOut(relayInW, d.Gains.DownlinkGainDB, d.Relay.Cfg.PAP1dBm))
 	f2 := d.Model.Freq + d.Relay.Cfg.ShiftHz
-	tagRx := relayOutDBm + chanGainDB(d.Model, d.RelayPos, t.Pos, f2, 2, 0) +
+	tagRx := relayOutDBm + d.gainDB(d.RelayPos, t.Pos, f2, 2, 0) +
 		d.shadowDB() - t.OrientationLossDB(d.RelayPos)
 	b.TagRxDBm = tagRx
 	b.Powered = t.PoweredBy(tagRx, rcfg.PIE.Depth)
@@ -295,27 +299,16 @@ func (d *Deployment) relayBudget(t *tag.Tag) Budget {
 	// Uplink: tag backscatter → relay → reader (the dipole pattern
 	// applies again on re-radiation).
 	bsAtTag := tagRx - backscatterLossDB(t.Cfg.BackscatterCoeff) - t.OrientationLossDB(d.RelayPos)
-	atRelay := bsAtTag + chanGainDB(d.Model, t.Pos, d.RelayPos, f2, 0, 2) + d.shadowDB()
+	atRelay := bsAtTag + d.gainDB(t.Pos, d.RelayPos, f2, 0, 2) + d.shadowDB()
 	// SNR limit 1: the relay's own receive noise.
 	snrRelay := reader.LinkSNRdB(atRelay, d.Relay.Cfg.NoiseFigureDB, rcfg.PIE.BLF())
 	atReader := atRelay + d.Gains.UplinkGainDB +
-		chanGainDB(d.Model, d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB) + d.shadowDB()
+		d.gainDB(d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB) + d.shadowDB()
 	b.ReaderRxDBm = atReader
 	// SNR limit 2: the reader's receive noise.
 	snrReader := reader.LinkSNRdB(atReader, rcfg.NoiseFigureDB, rcfg.PIE.BLF())
 	b.SNRdB = combineSNRdB(snrRelay, snrReader)
 	return b
-}
-
-// chanGainDB returns the coherent multipath channel gain in dB for a link
-// at carrier f including antenna gains.
-func chanGainDB(m *propagation.Model, a, b geom.Point, f, gA, gB float64) float64 {
-	h := m.OneWay(a, b, f, gA, gB)
-	mag := cmplx.Abs(h)
-	if mag <= 0 {
-		return math.Inf(-1)
-	}
-	return 20 * math.Log10(mag)
 }
 
 // compressedOut applies a gain then the PA's Rapp compression.
@@ -384,7 +377,7 @@ func (d *Deployment) embeddedBudget() Budget {
 	if !b.RelayStable || !d.RelayLockHealthy() {
 		return b
 	}
-	toRelayDBm := d.Model.ReceivedPowerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
+	toRelayDBm := d.powerDBm(d.ReaderPos, d.RelayPos, rcfg.TxPowerDBm,
 		rcfg.AntennaGainDB, 2) + d.shadowDB()
 	// Relay → embedded tag is centimeters: treat as lossless coupling at
 	// the relay's (compressed) output.
@@ -397,7 +390,7 @@ func (d *Deployment) embeddedBudget() Budget {
 	}
 	bs := b.TagRxDBm - backscatterLossDB(d.EmbeddedTag.Cfg.BackscatterCoeff) - 20
 	atReader := bs + d.Gains.UplinkGainDB +
-		chanGainDB(d.Model, d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB) + d.shadowDB()
+		d.gainDB(d.RelayPos, d.ReaderPos, d.Model.Freq, 2, rcfg.AntennaGainDB) + d.shadowDB()
 	b.ReaderRxDBm = atReader
 	b.SNRdB = reader.LinkSNRdB(atReader, rcfg.NoiseFigureDB, rcfg.PIE.BLF()) - d.cfoPenaltyDB()
 	return b
@@ -411,14 +404,14 @@ func (d *Deployment) channelTo(t *tag.Tag, snrDB float64) (complex128, error) {
 	coeff := t.Cfg.BackscatterCoeff / 2
 	var h complex128
 	if d.Relay == nil {
-		down := d.Model.OneWay(d.ReaderPos, t.Pos, f, d.Reader.Cfg.AntennaGainDB, 0)
-		up := d.Model.OneWay(t.Pos, d.ReaderPos, f, 0, d.Reader.Cfg.AntennaGainDB)
+		down := d.oneWay(d.ReaderPos, t.Pos, f, d.Reader.Cfg.AntennaGainDB, 0)
+		up := d.oneWay(t.Pos, d.ReaderPos, f, 0, d.Reader.Cfg.AntennaGainDB)
 		h = down * up * complex(coeff, 0)
 	} else {
 		f2 := f + d.Relay.Cfg.ShiftHz
-		hrr := d.Model.OneWay(d.ReaderPos, d.RelayPos, f, d.Reader.Cfg.AntennaGainDB, 2)
-		hrt := d.Model.OneWay(d.RelayPos, t.Pos, f2, 2, 0)
-		htr := d.Model.OneWay(t.Pos, d.RelayPos, f2, 0, 2)
+		hrr := d.oneWay(d.ReaderPos, d.RelayPos, f, d.Reader.Cfg.AntennaGainDB, 2)
+		hrt := d.oneWay(d.RelayPos, t.Pos, f2, 2, 0)
+		htr := d.oneWay(t.Pos, d.RelayPos, f2, 0, 2)
 		hG := complex(signal.AmpFromDB((d.Gains.DownlinkGainDB+d.Gains.UplinkGainDB)/2), 0)
 		h = hrr * hrr * hrt * htr * complex(coeff, 0) * hG
 		h *= d.relayPhaseTerm()
@@ -431,7 +424,7 @@ func (d *Deployment) channelTo(t *tag.Tag, snrDB float64) (complex128, error) {
 // half-link squared (Eq. 10's denominator) times the hardware constant.
 func (d *Deployment) embeddedChannel(snrDB float64) (complex128, error) {
 	f := d.Model.Freq
-	hrr := d.Model.OneWay(d.ReaderPos, d.RelayPos, f, d.Reader.Cfg.AntennaGainDB, 2)
+	hrr := d.oneWay(d.ReaderPos, d.RelayPos, f, d.Reader.Cfg.AntennaGainDB, 2)
 	coeff := d.EmbeddedTag.Cfg.BackscatterCoeff / 2
 	hG := complex(signal.AmpFromDB((d.Gains.DownlinkGainDB+d.Gains.UplinkGainDB)/2), 0)
 	h := hrr * hrr * complex(coeff*0.01, 0) * hG // 0.01: short-coupling constant

@@ -52,15 +52,12 @@ func (s *Scene) AddWall(a, b geom.Point, m Material) {
 	s.Walls = append(s.Walls, Wall{Seg: geom.Segment{A: a, B: b}, Mat: m})
 }
 
-// canonicalLink orders a link's endpoints deterministically so that
-// occlusion tests are exactly symmetric: floating-point orientation tests
-// on knife-edge geometry (a link grazing a wall endpoint) must not flip
-// with argument order, or channel reciprocity breaks by a wall's worth of
-// loss.
+// canonicalLink orders a link's endpoints by geom.Canonical so that
+// occlusion tests are exactly symmetric: a link grazing a wall endpoint
+// must not flip with argument order, or channel reciprocity breaks by a
+// wall's worth of loss.
 func canonicalLink(a, b geom.Point) geom.Segment {
-	if b.X < a.X || (b.X == a.X && b.Y < a.Y) {
-		a, b = b, a
-	}
+	a, b = geom.Canonical(a, b)
 	return geom.Segment{A: a, B: b}
 }
 
